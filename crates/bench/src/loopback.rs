@@ -1,7 +1,6 @@
-//! Shared driver for the server loopback benchmark: `perf_report` and
-//! the criterion `throughput` bench both measure the same workload —
+//! Driver for the server loopback benchmark `perf_report` runs:
 //! micro-batched keep-alive `/rank` traffic versus one request per
-//! connection at batch size 1 — against a real `ctxrank-serve` server
+//! connection at batch size 1, against a real `ctxrank-serve` server
 //! on an ephemeral loopback port.
 
 use crate::Experiment;

@@ -126,7 +126,7 @@ impl<W: Write> Write for SimWrite<W> {
 ///
 /// Renames and directory creation pass through (they model the
 /// metadata path, which the persist layer already orders so that the
-/// manifest rename is the commit point); every *byte* read or written
+/// `snapshot.ctxr` rename is the commit point); every *byte* read or written
 /// is faultable.
 pub struct FaultyFs {
     plan: Arc<FaultPlan>,

@@ -67,8 +67,8 @@ pub use partition::{
 };
 pub use persist::{
     load_ranker, load_service, load_service_with, load_snapshot, load_snapshot_with, save_ranker,
-    save_service, save_service_with, save_snapshot, save_snapshot_legacy,
-    save_snapshot_legacy_with, save_snapshot_with, PersistError, PersistFs, StdFs,
+    save_service, save_service_with, save_snapshot, save_snapshot_with, PersistError, PersistFs,
+    StdFs,
 };
 pub use propensity::{
     EmCell, EmConfig, EmFit, PropensityCodecError, PropensityEstimator, PropensityTable,

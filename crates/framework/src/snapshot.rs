@@ -30,7 +30,7 @@ use std::sync::Arc;
 /// Process-wide epoch source. Epochs are assigned at `build()` time and
 /// only ever move forward, so "newer snapshot" and "larger epoch" mean
 /// the same thing within a process — the invariant the hot-swap
-/// protocol (`crate::swap`) and the persisted manifest both rely on.
+/// protocol (`crate::swap`) and the persisted arena header both rely on.
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 fn claim_epoch() -> u64 {

@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for loopback use: integration
-//! tests, the throughput bench, and `perf_report` all talk to the
+//! tests, the bench harnesses, and `perf_report` all talk to the
 //! server through this instead of each hand-rolling socket code.
 //!
 //! [`Conn::connect_with`] / [`request_with_retry`] add the hardening a
