@@ -726,9 +726,11 @@ fn main() {
     // Snapshot hot-swap: single-reader throughput on a static snapshot
     // ("serial") vs the aggregate throughput of `workers` concurrent
     // readers while a publisher continuously swaps rebuilt snapshots
-    // underneath them ("parallel"). The lock-free read path must scale
-    // with readers and never stall on a publish, so speedup ≥ 1.0 at
-    // any worker count is the pass condition.
+    // underneath them ("parallel"). A read holds the cell's read lock
+    // only for one `Arc` clone and a publish holds the write lock only
+    // for one pointer replace, so reads must scale with readers and
+    // never stall on a publish: speedup ≥ 1.0 at any worker count is
+    // the pass condition.
     let snap_a = ctxrank_bench::build_snapshot(&fx.exp);
     let snap_b = ctxrank_bench::build_snapshot(&fx.exp);
     let handle = ctxrank_framework::ServiceHandle::new(snap_a.clone());

@@ -1,122 +1,79 @@
-//! Lock-free snapshot hot-swap — the serving tier's publish protocol.
+//! Snapshot hot-swap — the serving tier's publish protocol.
 //!
 //! The offline pipeline periodically produces a fresh [`Snapshot`]; the
 //! serving tier must start using it **without pausing traffic**. The
 //! protocol:
 //!
-//! * Readers call [`SwapCell::load`] — one atomic pointer load plus one
-//!   refcount increment, no locks, no waiting — and then finish their
-//!   entire ranking on the `Arc<Snapshot>` they got back. An in-flight
-//!   request never observes a mix of two snapshots.
+//! * Readers call [`SwapCell::load`] — one `Arc` clone under a read
+//!   lock — and then finish their entire ranking on the `Arc<Snapshot>`
+//!   they got back. An in-flight request never observes a mix of two
+//!   snapshots.
 //! * A publisher calls [`SwapCell::swap`] (or
 //!   [`ServiceHandle::publish`]) to install the rebuilt snapshot. The
-//!   store is a single atomic pointer write, so there is no window in
-//!   which readers can observe a torn or absent snapshot.
+//!   write lock is held only for one pointer replace, so there is no
+//!   window in which readers can observe a torn or absent snapshot.
 //! * Epochs are strictly increasing (see [`crate::snapshot`]), so a
 //!   reader comparing epochs across successive loads sees a monotone
 //!   sequence.
 //!
-//! **Reclamation.** A hand-rolled `ArcSwap` needs an answer to the
-//! classic race: a reader loads the raw pointer, is preempted, the
-//! publisher swaps and drops the last `Arc`, and the reader's deferred
-//! refcount increment now touches freed memory. We close it the simple
-//! way: the cell retains one strong reference to **every snapshot it
-//! has ever published** (the current one plus a retired list), so the
-//! pointee outlives the cell and the increment is always on a live
-//! allocation. Retired snapshots are freed when the cell drops. This
-//! trades memory for wait-freedom on the read path, and the trade is
-//! deliberately cheap: publishes happen at rebuild cadence (minutes to
-//! hours), so the retired list stays tiny relative to one snapshot's
-//! stores; re-publishing an already-retained `Arc` (as the swap bench
-//! does continuously) costs one `Arc` clone per publish, not a store
-//! copy.
+//! **Reclamation** is plain `Arc` counting: the cell holds one strong
+//! reference, to the current snapshot only. A replaced snapshot is freed
+//! as soon as the last reader pinned to it drops its view. Delta
+//! publishes land every 50 ms under ingest, so a cell that kept every
+//! snapshot it ever published would grow without bound.
 
 use crate::online::OnlineCtrAdjuster;
 use crate::ranker::{RankedConcept, RuntimeRanker};
 use crate::snapshot::Snapshot;
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An `ArcSwap`-style cell over [`Arc<Snapshot>`]: wait-free `load`,
-/// atomic `swap`, epoch-retirement reclamation (see module docs).
+/// A swappable [`Arc<Snapshot>`]: `load` clones the current `Arc`,
+/// `swap` replaces it and hands the old one back to the caller.
 pub struct SwapCell {
-    /// Raw pointer to the current snapshot. Always points into an
-    /// allocation kept alive by `current`/`retired` below.
-    ptr: AtomicPtr<Snapshot>,
+    current: RwLock<Arc<Snapshot>>,
     /// The current snapshot's epoch, mirrored out of the snapshot so
     /// epoch-keyed callers (the serve-layer result cache probes it on
     /// every request) read it with one atomic load instead of a full
     /// `load()` refcount round-trip. Monotone: updated with `fetch_max`
-    /// under the publisher lock.
+    /// under the write lock.
     epoch: AtomicU64,
-    /// Publisher-side owner of the current snapshot. Readers never
-    /// touch this lock.
-    current: Mutex<Arc<Snapshot>>,
-    /// Strong references to every previously published snapshot —
-    /// the grace period is the cell's lifetime.
-    retired: Mutex<Vec<Arc<Snapshot>>>,
 }
 
 impl SwapCell {
     /// A cell serving `initial`.
     pub fn new(initial: Arc<Snapshot>) -> Self {
-        let ptr = AtomicPtr::new(Arc::as_ptr(&initial) as *mut Snapshot);
-        let epoch = AtomicU64::new(initial.epoch());
         Self {
-            ptr,
-            epoch,
-            current: Mutex::new(initial),
-            retired: Mutex::new(Vec::new()),
+            epoch: AtomicU64::new(initial.epoch()),
+            current: RwLock::new(initial),
         }
     }
 
-    /// The current snapshot. Wait-free: one `Acquire` pointer load and
-    /// one refcount increment; never blocks on a publisher.
+    /// The current snapshot: one `Arc` clone under the read lock.
     pub fn load(&self) -> Arc<Snapshot> {
-        let raw = self.ptr.load(Ordering::Acquire) as *const Snapshot;
-        // SAFETY: `raw` was stored from an `Arc` that `current` (and,
-        // after any later swap, `retired`) keeps alive for the life of
-        // `self`, so the allocation is live and its strong count is at
-        // least one for the whole call; the increment hands that
-        // guarantee to the returned `Arc`.
-        unsafe {
-            Arc::increment_strong_count(raw);
-            Arc::from_raw(raw)
-        }
+        Arc::clone(&self.current.read())
     }
 
     /// Install `next` as the current snapshot, returning the snapshot
     /// it replaced. Readers that already loaded the old snapshot finish
-    /// on it; new loads observe `next` after this returns (and possibly
-    /// during it — the pointer store is the linearization point).
+    /// on it; new loads observe `next` once this returns. The old
+    /// snapshot is freed when the returned `Arc` and every reader's
+    /// clone of it have dropped.
     pub fn swap(&self, next: Arc<Snapshot>) -> Arc<Snapshot> {
-        let mut current = self.current.lock();
-        let prev = std::mem::replace(&mut *current, next);
-        // Order matters: `*current` owns `next` before the pointer
-        // becomes visible, and `prev` is retired before its pointer can
-        // stop being loadable — so every pointer value ever stored is
-        // backed by a strong reference held by this cell.
-        self.retired.lock().push(prev.clone());
-        self.ptr
-            .store(Arc::as_ptr(&current) as *mut Snapshot, Ordering::Release);
+        let mut current = self.current.write();
         // Epochs are process-wide monotone, but `fetch_max` keeps the
         // mirror safe even against a hostile out-of-order publish.
-        self.epoch.fetch_max(current.epoch(), Ordering::Release);
-        prev
+        self.epoch.fetch_max(next.epoch(), Ordering::Release);
+        std::mem::replace(&mut *current, next)
     }
 
     /// The current snapshot's epoch — one atomic load, no refcount
-    /// traffic. May trail [`SwapCell::load`] by the width of a publish
-    /// in flight; never moves backwards.
+    /// traffic. It is set under the write lock, so a [`SwapCell::load`]
+    /// that starts after this returns `e` sees an epoch of at least `e`.
+    /// Never moves backwards.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Number of retired (previously published) snapshots retained for
-    /// reader safety.
-    pub fn retired_len(&self) -> usize {
-        self.retired.lock().len()
     }
 }
 
@@ -157,12 +114,12 @@ impl ServiceHandle {
         }
     }
 
-    /// The snapshot currently being served (wait-free).
+    /// The snapshot currently being served.
     pub fn current(&self) -> Arc<Snapshot> {
         self.cell.load()
     }
 
-    /// The current snapshot's epoch. Wait-free and allocation-free:
+    /// The current snapshot's epoch. Lock-free and allocation-free:
     /// reads the cell's mirrored epoch, so per-request probes (the
     /// serve-layer cache keys every lookup by this) cost one atomic
     /// load.
@@ -272,19 +229,12 @@ impl ServiceHandle {
         drop(adjuster);
         (ranker.into_snapshot(), results)
     }
-
-    /// Snapshots retained for reader safety (diagnostics; see the
-    /// module-level reclamation notes).
-    pub fn retired_len(&self) -> usize {
-        self.cell.retired_len()
-    }
 }
 
 impl std::fmt::Debug for ServiceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceHandle")
             .field("epoch", &self.epoch())
-            .field("retired", &self.retired_len())
             .finish_non_exhaustive()
     }
 }
@@ -344,7 +294,6 @@ mod tests {
         assert!(Arc::ptr_eq(&prev, &a));
         assert!(Arc::ptr_eq(&cell.load(), &b));
         assert_eq!(cell.epoch(), b.epoch());
-        assert_eq!(cell.retired_len(), 1);
     }
 
     #[test]
@@ -366,6 +315,21 @@ mod tests {
             .ranker()
             .rank("sunspot activity", &["solar flares".to_string()]);
         assert!(after[0].relevance > before[0].relevance);
+    }
+
+    #[test]
+    fn replaced_snapshot_is_freed_once_its_last_reader_drops() {
+        let first = snapshot(1.0);
+        let weak = Arc::downgrade(&first);
+        let handle = ServiceHandle::new(first);
+        let pinned = handle.ranker();
+        handle.publish(snapshot(2.0));
+        assert!(weak.upgrade().is_some(), "a pinned view keeps its snapshot");
+        drop(pinned);
+        assert!(
+            weak.upgrade().is_none(),
+            "the cell must not retain a replaced snapshot"
+        );
     }
 
     #[test]
@@ -433,6 +397,5 @@ mod tests {
             assert_eq!(handle.epoch(), e);
             last = e;
         }
-        assert_eq!(handle.retired_len(), 4);
     }
 }

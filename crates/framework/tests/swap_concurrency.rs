@@ -140,8 +140,13 @@ fn readers_stay_consistent_while_publisher_swaps() {
         }
     });
 
-    // All publishes retired their predecessor; final epoch is the last
-    // snapshot's.
-    assert_eq!(handle.retired_len(), PUBLISHES - 1);
+    // Final epoch is the last snapshot's, and a replaced snapshot is
+    // freed once nothing outside the cell holds it.
     assert_eq!(handle.epoch(), snapshots.last().unwrap().epoch());
+    let replaced = Arc::downgrade(&snapshots[0]);
+    drop(snapshots);
+    assert!(
+        replaced.upgrade().is_none(),
+        "replaced snapshot was retained"
+    );
 }

@@ -35,7 +35,7 @@ pub use postings::{
     decode_all, decode_block, encode_blocks, read_varint, write_varint, DocId, PostingRef,
     Postings, SkipEntry, BLOCK,
 };
-pub use search::{merge_top_k, SearchAccumulator, SearchHit};
+pub use search::SearchHit;
 pub use snippet::{snippet, DEFAULT_CONTEXT_TOKENS};
 pub use tfidf::{tf_idf_weight, TermVector};
 

@@ -84,7 +84,6 @@ fn main() {
         RouterServerConfig {
             addr,
             enable_shutdown_endpoint: true,
-            ..RouterServerConfig::default()
         },
     )
     .expect("bind router listener");

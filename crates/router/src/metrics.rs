@@ -1,64 +1,10 @@
-//! Router observability: lock-free counters + per-shard latency
+//! Router observability: atomic counters + per-shard latency
 //! histograms, rendered in Prometheus text format on the router's own
-//! `/metrics`. Mirrors the serve crate's all-atomic registry pattern —
-//! recording is a handful of relaxed atomic ops, rendering cumulates
-//! bucket counts on the fly.
+//! `/metrics`. The histogram type and the exposition helpers are the
+//! serve crate's, so both registries render through one code path.
 
-use ctxrank_serve::LATENCY_BUCKETS_SECS;
+use ctxrank_serve::metrics::{render_header, render_scalar, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One latency histogram over the workspace-standard bucket ladder.
-/// Buckets store *non-cumulative* counts; `render` cumulates, as the
-/// Prometheus exposition format requires.
-struct Histogram {
-    /// One slot per bucket upper bound, plus the +Inf slot.
-    buckets: [AtomicU64; LATENCY_BUCKETS_SECS.len() + 1],
-    sum_micros: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_micros: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    fn observe(&self, secs: f64) {
-        let slot = LATENCY_BUCKETS_SECS
-            .iter()
-            .position(|&ub| secs <= ub)
-            .unwrap_or(LATENCY_BUCKETS_SECS.len());
-        self.buckets[slot].fetch_add(1, Ordering::Relaxed);
-        self.sum_micros
-            .fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn render(&self, out: &mut String, name: &str, label: &str) {
-        let mut cumulative = 0u64;
-        for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
-            cumulative += self.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "{name}_bucket{{{label},le=\"{ub}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "{name}_bucket{{{label},le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "{name}_sum{{{label}}} {}\n",
-            self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "{name}_count{{{label}}} {}\n",
-            self.count.load(Ordering::Relaxed)
-        ));
-    }
-}
 
 /// The router's metric registry. Sized at construction for a fixed
 /// shard count (the partition is static for a router's lifetime).
@@ -88,7 +34,7 @@ impl RouterMetrics {
             epoch_mismatch_total: AtomicU64::new(0),
             requests_total: AtomicU64::new(0),
             errors_total: AtomicU64::new(0),
-            shard_latency: (0..shards).map(|_| Histogram::new()).collect(),
+            shard_latency: (0..shards).map(|_| Histogram::default()).collect(),
         }
     }
 
@@ -139,56 +85,51 @@ impl RouterMetrics {
     /// router last observed from a uniform gather.
     pub fn render_prometheus(&self, observed_epoch: u64) -> String {
         let mut out = String::with_capacity(2048);
-        let counter = |out: &mut String, name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        };
-        counter(
-            &mut out,
-            "ctxrank_router_fanout_total",
-            "Shard requests fanned out by the router.",
-            self.fanout_total(),
-        );
-        counter(
-            &mut out,
-            "ctxrank_router_failover_total",
-            "Shard attempts failed over to the next replica.",
-            self.failover_total(),
-        );
-        counter(
-            &mut out,
-            "ctxrank_router_epoch_mismatch_total",
-            "Gathers discarded for mixing shard epochs.",
-            self.epoch_mismatch_total(),
-        );
-        counter(
-            &mut out,
-            "ctxrank_router_requests_total",
-            "Merged /rank responses served.",
-            self.requests_total(),
-        );
-        counter(
-            &mut out,
-            "ctxrank_router_errors_total",
-            "/rank requests failed after all retries and failovers.",
-            self.errors_total.load(Ordering::Relaxed),
-        );
-        out.push_str(&format!(
-            "# HELP ctxrank_router_observed_epoch Epoch of the last uniform gather.\n\
-             # TYPE ctxrank_router_observed_epoch gauge\n\
-             ctxrank_router_observed_epoch {observed_epoch}\n"
-        ));
-        out.push_str(
-            "# HELP ctxrank_router_shard_latency_seconds Per-shard request latency.\n\
-             # TYPE ctxrank_router_shard_latency_seconds histogram\n",
-        );
+        let scalars = [
+            (
+                "ctxrank_router_fanout_total",
+                "counter",
+                "Shard requests fanned out by the router.",
+                self.fanout_total(),
+            ),
+            (
+                "ctxrank_router_failover_total",
+                "counter",
+                "Shard attempts failed over to the next replica.",
+                self.failover_total(),
+            ),
+            (
+                "ctxrank_router_epoch_mismatch_total",
+                "counter",
+                "Gathers discarded for mixing shard epochs.",
+                self.epoch_mismatch_total(),
+            ),
+            (
+                "ctxrank_router_requests_total",
+                "counter",
+                "Merged /rank responses served.",
+                self.requests_total(),
+            ),
+            (
+                "ctxrank_router_errors_total",
+                "counter",
+                "/rank requests failed after all retries and failovers.",
+                self.errors_total.load(Ordering::Relaxed),
+            ),
+            (
+                "ctxrank_router_observed_epoch",
+                "gauge",
+                "Epoch of the last uniform gather.",
+                observed_epoch,
+            ),
+        ];
+        for (name, kind, help, value) in scalars {
+            render_scalar(&mut out, name, kind, help, value);
+        }
+        const LATENCY: &str = "ctxrank_router_shard_latency_seconds";
+        render_header(&mut out, LATENCY, "histogram", "Per-shard request latency.");
         for (i, h) in self.shard_latency.iter().enumerate() {
-            h.render(
-                &mut out,
-                "ctxrank_router_shard_latency_seconds",
-                &format!("shard=\"{i}\""),
-            );
+            h.render(&mut out, LATENCY, &format!("shard=\"{i}\""));
         }
         out
     }

@@ -19,39 +19,30 @@
 
 use crate::ScatterGather;
 use ctxrank_serve::http::{read_request_deadline, write_response, HttpError, Request, Response};
+use ctxrank_serve::{KEEP_ALIVE_TIMEOUT, REQUEST_DEADLINE, RETRY_AFTER_SECS};
 use serde_json::json;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Listener knobs. `Default` binds an ephemeral loopback port with the
-/// admin shutdown endpoint off.
+/// admin shutdown endpoint off. Keep-alive timeout, request deadline
+/// and `Retry-After` are the serve crate's defaults
+/// ([`KEEP_ALIVE_TIMEOUT`], [`REQUEST_DEADLINE`], [`RETRY_AFTER_SECS`]).
 #[derive(Debug, Clone)]
 pub struct RouterServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Idle keep-alive read timeout before a handler drops its
-    /// connection.
-    pub keep_alive_timeout: Duration,
-    /// Total budget from a request's first byte to the end of its body
-    /// (slowloris bound, same semantics as the shard server).
-    pub request_deadline: Duration,
     /// Expose `POST /admin/shutdown`.
     pub enable_shutdown_endpoint: bool,
-    /// `Retry-After` seconds advertised on 503 responses.
-    pub retry_after_secs: u32,
 }
 
 impl Default for RouterServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            keep_alive_timeout: Duration::from_secs(5),
-            request_deadline: Duration::from_secs(10),
             enable_shutdown_endpoint: false,
-            retry_after_secs: 1,
         }
     }
 }
@@ -163,7 +154,7 @@ fn run_acceptor(inner: &Arc<Inner>, listener: TcpListener) {
 }
 
 fn serve_connection(inner: &Inner, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(inner.config.keep_alive_timeout));
+    let _ = stream.set_read_timeout(Some(KEEP_ALIVE_TIMEOUT));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -172,11 +163,8 @@ fn serve_connection(inner: &Inner, stream: TcpStream) {
     loop {
         // Idle timeout must be re-armed each iteration: the request
         // parser re-arms the socket timeout against its own deadline.
-        let _ = reader
-            .get_ref()
-            .set_read_timeout(Some(inner.config.keep_alive_timeout));
-        let request = match read_request_deadline(&mut reader, Some(inner.config.request_deadline))
-        {
+        let _ = reader.get_ref().set_read_timeout(Some(KEEP_ALIVE_TIMEOUT));
+        let request = match read_request_deadline(&mut reader, Some(REQUEST_DEADLINE)) {
             Ok(Some(req)) => req,
             Ok(None) | Err(HttpError::Io(_)) => return,
             Err(HttpError::Timeout) => {
@@ -215,7 +203,7 @@ fn dispatch(inner: &Inner, request: &Request) -> Response {
                     let status = e.status();
                     let resp = Response::json(status, &json!({"error": e.to_string()}));
                     if status == 503 {
-                        resp.with_header("retry-after", inner.config.retry_after_secs.to_string())
+                        resp.with_header("retry-after", RETRY_AFTER_SECS.to_string())
                     } else {
                         resp
                     }
@@ -257,6 +245,7 @@ mod tests {
     use super::*;
     use crate::{RouterConfig, ShardSpec};
     use ctxrank_serve::{one_shot, ClientConfig};
+    use std::time::Duration;
 
     fn start_router(shards: Vec<ShardSpec>) -> RouterServer {
         let sg = Arc::new(ScatterGather::new(

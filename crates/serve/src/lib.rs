@@ -4,7 +4,7 @@
 //! annotation and key-concept ranking run inside a user-facing page
 //! pipeline at portal scale. Everything below the request boundary
 //! already exists in this reproduction — the immutable [`Snapshot`]
-//! artifact, the wait-free hot-swap [`ServiceHandle`], the batched
+//! artifact, the hot-swap [`ServiceHandle`], the batched
 //! `rank_batch` API. This crate adds the boundary itself: a
 //! **zero-external-dependency HTTP/1.1 server** on
 //! `std::net::TcpListener` with
@@ -47,4 +47,7 @@ pub use client::{
     RequestErrorKind,
 };
 pub use metrics::{Endpoint, Metrics, LATENCY_BUCKETS_SECS};
-pub use server::{render_rank_response, render_rank_response_sharded, ServeConfig, Server};
+pub use server::{
+    render_rank_response, render_rank_response_sharded, ServeConfig, Server, KEEP_ALIVE_TIMEOUT,
+    REQUEST_DEADLINE, RETRY_AFTER_SECS,
+};

@@ -4,7 +4,11 @@
 //! allocation until `/metrics` renders. The histogram buckets are fixed
 //! at compile time (Prometheus-style cumulative `le` buckets), so two
 //! scrapes are always comparable and the exporter needs no state.
+//! [`Histogram`], [`render_header`] and [`render_scalar`] are the
+//! workspace's one exposition toolkit: the router's registry renders
+//! through them too.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Endpoints that get their own counter + latency histogram. `Other`
@@ -59,8 +63,10 @@ pub const LATENCY_BUCKETS_SECS: [f64; 12] = [
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
 ];
 
+/// One latency histogram over [`LATENCY_BUCKETS_SECS`]: recording is
+/// three relaxed atomic adds, rendering cumulates on the fly.
 #[derive(Default)]
-struct Histogram {
+pub struct Histogram {
     /// One slot per finite bucket plus the `+Inf` slot. Stored
     /// non-cumulative; cumulated at render time.
     buckets: [AtomicU64; LATENCY_BUCKETS_SECS.len() + 1],
@@ -69,7 +75,7 @@ struct Histogram {
 }
 
 impl Histogram {
-    fn observe(&self, secs: f64) {
+    pub fn observe(&self, secs: f64) {
         let slot = LATENCY_BUCKETS_SECS
             .iter()
             .position(|&ub| secs <= ub)
@@ -79,6 +85,51 @@ impl Histogram {
             .fetch_add((secs * 1e6) as u64, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Observations recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Append the `_bucket`/`_sum`/`_count` series of metric `name`.
+    /// `labels` is a rendered label list without braces
+    /// (`endpoint="rank"`), or empty for an unlabelled series.
+    pub fn render(&self, out: &mut String, name: &str, labels: &str) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut cumulative = 0u64;
+        for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
+            cumulative += self.buckets[i].load(Ordering::Relaxed);
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{labels}{sep}le=\"{ub}\"}} {cumulative}"
+            );
+        }
+        cumulative += self.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
+        let _ = writeln!(
+            out,
+            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+        );
+        let (open, close) = if labels.is_empty() {
+            ("", "")
+        } else {
+            ("{", "}")
+        };
+        let sum = self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
+        let _ = writeln!(out, "{name}_sum{open}{labels}{close} {sum}");
+        let _ = writeln!(out, "{name}_count{open}{labels}{close} {}", self.count());
+    }
+}
+
+/// Append the `# HELP`/`# TYPE` header of metric `name`; `kind` is
+/// `counter`, `gauge` or `histogram`.
+pub fn render_header(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// Append one unlabelled counter or gauge, header included.
+pub fn render_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
+    render_header(out, name, kind, help);
+    let _ = writeln!(out, "{name} {value}");
 }
 
 /// The server's metric registry. One instance per [`crate::Server`],
@@ -140,10 +191,6 @@ impl Metrics {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
     pub fn requests_total(&self, ep: Endpoint) -> u64 {
         self.requests[ep.index()].load(Ordering::Relaxed)
     }
@@ -171,10 +218,6 @@ impl Metrics {
 
     pub fn record_io_error(&self) {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn io_error_total(&self) -> u64 {
-        self.io_errors.load(Ordering::Relaxed)
     }
 
     pub fn record_cache_hit(&self) {
@@ -223,17 +266,9 @@ impl Metrics {
         self.ingest_lag_events.store(events, Ordering::Relaxed);
     }
 
-    pub fn ingest_lag_events(&self) -> u64 {
-        self.ingest_lag_events.load(Ordering::Relaxed)
-    }
-
     /// Count one incremental delta publish.
     pub fn record_delta_publish(&self) {
         self.delta_publishes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn delta_publish_total(&self) -> u64 {
-        self.delta_publishes.load(Ordering::Relaxed)
     }
 
     /// Set the live sealed-segment footprint of the click log.
@@ -241,17 +276,9 @@ impl Metrics {
         self.segment_bytes.store(bytes, Ordering::Relaxed);
     }
 
-    pub fn segment_bytes(&self) -> u64 {
-        self.segment_bytes.load(Ordering::Relaxed)
-    }
-
     /// Count one accepted feedback batch.
     pub fn record_feedback(&self) {
         self.feedback.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn feedback_total(&self) -> u64 {
-        self.feedback.load(Ordering::Relaxed)
     }
 
     /// Set the rank coverage of the installed propensity table.
@@ -263,209 +290,153 @@ impl Metrics {
         self.propensity_ranks.load(Ordering::Relaxed)
     }
 
-    /// Jobs with an observed queue wait (tests/benches).
-    pub fn queue_wait_count(&self) -> u64 {
-        self.queue_wait.count.load(Ordering::Relaxed)
-    }
-
     /// Render the whole registry in Prometheus text exposition format.
     /// `epoch` is read from the live [`ctxrank_framework::ServiceHandle`]
     /// at scrape time so the gauge always names the snapshot actually
     /// being served.
     pub fn render_prometheus(&self, epoch: u64) -> String {
         let mut out = String::with_capacity(4096);
+        let load = |v: &AtomicU64| v.load(Ordering::Relaxed);
 
-        out.push_str("# HELP ctxrank_requests_total Requests handled, by endpoint.\n");
-        out.push_str("# TYPE ctxrank_requests_total counter\n");
-        for ep in Endpoint::ALL {
-            out.push_str(&format!(
-                "ctxrank_requests_total{{endpoint=\"{}\"}} {}\n",
-                ep.label(),
-                self.requests[ep.index()].load(Ordering::Relaxed)
-            ));
-        }
-
-        out.push_str("# HELP ctxrank_shed_total Requests refused with 503 under load.\n");
-        out.push_str("# TYPE ctxrank_shed_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_shed_total {}\n",
-            self.shed.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP ctxrank_timeout_total Requests that exceeded the per-request deadline.\n",
-        );
-        out.push_str("# TYPE ctxrank_timeout_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_timeout_total {}\n",
-            self.timeouts.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP ctxrank_io_error_total Connections dropped on a transport error mid-request.\n",
-        );
-        out.push_str("# TYPE ctxrank_io_error_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_io_error_total {}\n",
-            self.io_errors.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP ctxrank_cache_hits_total Rank requests answered from the result cache.\n",
-        );
-        out.push_str("# TYPE ctxrank_cache_hits_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_cache_hits_total {}\n",
-            self.cache_hits.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP ctxrank_cache_misses_total Rank requests that missed the result cache.\n",
-        );
-        out.push_str("# TYPE ctxrank_cache_misses_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_cache_misses_total {}\n",
-            self.cache_misses.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP ctxrank_cache_evictions_total Cache entries evicted under capacity pressure.\n",
-        );
-        out.push_str("# TYPE ctxrank_cache_evictions_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_cache_evictions_total {}\n",
-            self.cache_evictions.load(Ordering::Relaxed)
-        ));
-        out.push_str("# HELP ctxrank_cache_bytes Resident result-cache bytes.\n");
-        out.push_str("# TYPE ctxrank_cache_bytes gauge\n");
-        out.push_str(&format!(
-            "ctxrank_cache_bytes {}\n",
-            self.cache_bytes.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP ctxrank_queue_depth Rank jobs waiting in the micro-batcher.\n");
-        out.push_str("# TYPE ctxrank_queue_depth gauge\n");
-        out.push_str(&format!(
-            "ctxrank_queue_depth {}\n",
-            self.queue_depth.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP ctxrank_snapshot_epoch Epoch of the snapshot being served.\n");
-        out.push_str("# TYPE ctxrank_snapshot_epoch gauge\n");
-        out.push_str(&format!("ctxrank_snapshot_epoch {epoch}\n"));
-
-        out.push_str(
-            "# HELP ctxrank_ingest_lag_events Sealed click-log events not yet folded into the served epoch.\n",
-        );
-        out.push_str("# TYPE ctxrank_ingest_lag_events gauge\n");
-        out.push_str(&format!(
-            "ctxrank_ingest_lag_events {}\n",
-            self.ingest_lag_events.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP ctxrank_delta_publish_total Incremental delta publishes applied to the served snapshot.\n",
-        );
-        out.push_str("# TYPE ctxrank_delta_publish_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_delta_publish_total {}\n",
-            self.delta_publishes.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP ctxrank_segment_bytes Bytes across live sealed click-log segments.\n");
-        out.push_str("# TYPE ctxrank_segment_bytes gauge\n");
-        out.push_str(&format!(
-            "ctxrank_segment_bytes {}\n",
-            self.segment_bytes.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP ctxrank_feedback_total Feedback batches folded into the online CTR adjuster.\n",
-        );
-        out.push_str("# TYPE ctxrank_feedback_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_feedback_total {}\n",
-            self.feedback.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP ctxrank_propensity_ranks Ranks covered by the installed propensity table (0 = naive).\n",
-        );
-        out.push_str("# TYPE ctxrank_propensity_ranks gauge\n");
-        out.push_str(&format!(
-            "ctxrank_propensity_ranks {}\n",
-            self.propensity_ranks.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP ctxrank_rank_batches_total Micro-batches executed.\n");
-        out.push_str("# TYPE ctxrank_rank_batches_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_rank_batches_total {}\n",
-            self.batches.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP ctxrank_rank_batched_docs_total Documents ranked through micro-batches.\n",
-        );
-        out.push_str("# TYPE ctxrank_rank_batched_docs_total counter\n");
-        out.push_str(&format!(
-            "ctxrank_rank_batched_docs_total {}\n",
-            self.batched_docs.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP ctxrank_queue_wait_seconds Rank-job wait from accept to batcher dispatch.\n\
-             # TYPE ctxrank_queue_wait_seconds histogram\n",
-        );
-        {
-            let hist = &self.queue_wait;
-            let mut cumulative = 0u64;
-            for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
-                cumulative += hist.buckets[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "ctxrank_queue_wait_seconds_bucket{{le=\"{ub}\"}} {cumulative}\n"
-                ));
-            }
-            cumulative += hist.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "ctxrank_queue_wait_seconds_bucket{{le=\"+Inf\"}} {cumulative}\n"
-            ));
-            out.push_str(&format!(
-                "ctxrank_queue_wait_seconds_sum {}\n",
-                hist.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "ctxrank_queue_wait_seconds_count {}\n",
-                hist.count.load(Ordering::Relaxed)
-            ));
-        }
-
-        out.push_str(
-            "# HELP ctxrank_request_latency_seconds Request latency, by endpoint.\n\
-             # TYPE ctxrank_request_latency_seconds histogram\n",
+        render_header(
+            &mut out,
+            "ctxrank_requests_total",
+            "counter",
+            "Requests handled, by endpoint.",
         );
         for ep in Endpoint::ALL {
-            let hist = &self.latency[ep.index()];
-            let mut cumulative = 0u64;
-            for (i, ub) in LATENCY_BUCKETS_SECS.iter().enumerate() {
-                cumulative += hist.buckets[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "ctxrank_request_latency_seconds_bucket{{endpoint=\"{}\",le=\"{ub}\"}} {cumulative}\n",
-                    ep.label()
-                ));
-            }
-            cumulative += hist.buckets[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "ctxrank_request_latency_seconds_bucket{{endpoint=\"{}\",le=\"+Inf\"}} {cumulative}\n",
-                ep.label()
-            ));
-            out.push_str(&format!(
-                "ctxrank_request_latency_seconds_sum{{endpoint=\"{}\"}} {}\n",
+            let _ = writeln!(
+                out,
+                "ctxrank_requests_total{{endpoint=\"{}\"}} {}",
                 ep.label(),
-                hist.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "ctxrank_request_latency_seconds_count{{endpoint=\"{}\"}} {}\n",
-                ep.label(),
-                hist.count.load(Ordering::Relaxed)
-            ));
+                load(&self.requests[ep.index()])
+            );
+        }
+
+        let scalars = [
+            (
+                "ctxrank_shed_total",
+                "counter",
+                "Requests refused with 503 under load.",
+                load(&self.shed),
+            ),
+            (
+                "ctxrank_timeout_total",
+                "counter",
+                "Requests that exceeded the per-request deadline.",
+                load(&self.timeouts),
+            ),
+            (
+                "ctxrank_io_error_total",
+                "counter",
+                "Connections dropped on a transport error mid-request.",
+                load(&self.io_errors),
+            ),
+            (
+                "ctxrank_cache_hits_total",
+                "counter",
+                "Rank requests answered from the result cache.",
+                load(&self.cache_hits),
+            ),
+            (
+                "ctxrank_cache_misses_total",
+                "counter",
+                "Rank requests that missed the result cache.",
+                load(&self.cache_misses),
+            ),
+            (
+                "ctxrank_cache_evictions_total",
+                "counter",
+                "Cache entries evicted under capacity pressure.",
+                load(&self.cache_evictions),
+            ),
+            (
+                "ctxrank_cache_bytes",
+                "gauge",
+                "Resident result-cache bytes.",
+                load(&self.cache_bytes),
+            ),
+            (
+                "ctxrank_queue_depth",
+                "gauge",
+                "Rank jobs waiting in the micro-batcher.",
+                load(&self.queue_depth),
+            ),
+            (
+                "ctxrank_snapshot_epoch",
+                "gauge",
+                "Epoch of the snapshot being served.",
+                epoch,
+            ),
+            (
+                "ctxrank_ingest_lag_events",
+                "gauge",
+                "Sealed click-log events not yet folded into the served epoch.",
+                load(&self.ingest_lag_events),
+            ),
+            (
+                "ctxrank_delta_publish_total",
+                "counter",
+                "Incremental delta publishes applied to the served snapshot.",
+                load(&self.delta_publishes),
+            ),
+            (
+                "ctxrank_segment_bytes",
+                "gauge",
+                "Bytes across live sealed click-log segments.",
+                load(&self.segment_bytes),
+            ),
+            (
+                "ctxrank_feedback_total",
+                "counter",
+                "Feedback batches folded into the online CTR adjuster.",
+                load(&self.feedback),
+            ),
+            (
+                "ctxrank_propensity_ranks",
+                "gauge",
+                "Ranks covered by the installed propensity table (0 = naive).",
+                load(&self.propensity_ranks),
+            ),
+            (
+                "ctxrank_rank_batches_total",
+                "counter",
+                "Micro-batches executed.",
+                load(&self.batches),
+            ),
+            (
+                "ctxrank_rank_batched_docs_total",
+                "counter",
+                "Documents ranked through micro-batches.",
+                load(&self.batched_docs),
+            ),
+        ];
+        for (name, kind, help, value) in scalars {
+            render_scalar(&mut out, name, kind, help, value);
+        }
+
+        const QUEUE_WAIT: &str = "ctxrank_queue_wait_seconds";
+        render_header(
+            &mut out,
+            QUEUE_WAIT,
+            "histogram",
+            "Rank-job wait from accept to batcher dispatch.",
+        );
+        self.queue_wait.render(&mut out, QUEUE_WAIT, "");
+
+        const LATENCY: &str = "ctxrank_request_latency_seconds";
+        render_header(
+            &mut out,
+            LATENCY,
+            "histogram",
+            "Request latency, by endpoint.",
+        );
+        for ep in Endpoint::ALL {
+            self.latency[ep.index()].render(
+                &mut out,
+                LATENCY,
+                &format!("endpoint=\"{}\"", ep.label()),
+            );
         }
         out
     }
@@ -508,7 +479,6 @@ mod tests {
         assert!(text.contains("ctxrank_timeout_total 1"));
         assert!(text.contains("ctxrank_io_error_total 3"));
         assert_eq!(m.timeout_total(), 1);
-        assert_eq!(m.io_error_total(), 3);
         assert!(text.contains("ctxrank_queue_depth 5"));
         assert!(text.contains("ctxrank_rank_batches_total 1"));
         assert!(text.contains("ctxrank_rank_batched_docs_total 16"));
@@ -546,9 +516,6 @@ mod tests {
         assert!(text.contains("ctxrank_ingest_lag_events 42"));
         assert!(text.contains("ctxrank_delta_publish_total 2"));
         assert!(text.contains("ctxrank_segment_bytes 8192"));
-        assert_eq!(m.ingest_lag_events(), 42);
-        assert_eq!(m.delta_publish_total(), 2);
-        assert_eq!(m.segment_bytes(), 8192);
         // The lag gauge is a set-style gauge: it can go back down.
         m.set_ingest_lag_events(0);
         assert!(m
@@ -568,7 +535,6 @@ mod tests {
         assert!(text.contains("ctxrank_feedback_total 3"));
         assert!(text.contains("ctxrank_propensity_ranks 8"));
         assert!(text.contains("ctxrank_requests_total{endpoint=\"feedback\"} 1"));
-        assert_eq!(m.feedback_total(), 3);
         assert_eq!(m.propensity_ranks(), 8);
         // Gauge semantics: replacing the table can shrink coverage.
         m.set_propensity_ranks(0);
@@ -589,6 +555,5 @@ mod tests {
         assert!(text.contains("ctxrank_queue_wait_seconds_bucket{le=\"1\"} 2"));
         assert!(text.contains("ctxrank_queue_wait_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("ctxrank_queue_wait_seconds_count 3"));
-        assert_eq!(m.queue_wait_count(), 3);
     }
 }

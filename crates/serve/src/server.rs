@@ -74,16 +74,22 @@ pub struct ServeConfig {
     /// budget is split evenly across shards).
     pub cache_shards: usize,
     /// Serve one partition of a sharded snapshot. Publishes the bounds
-    /// in `/healthz` and adds an `"owned"` flag to every `/rank` result
-    /// so the scatter-gather router can keep each candidate's owning
-    /// shard's entry and discard the rest.
+    /// in `/healthz`, adds an `"owned"` flag to every `/rank` result so
+    /// the scatter-gather router can keep each candidate's owning
+    /// shard's entry and discard the rest, and exposes
+    /// `POST /admin/epoch/{prepare,commit,abort}` — the shard side of
+    /// the two-phase publish barrier. Prepare loads a snapshot from a
+    /// caller-named local directory, so an unsharded server keeps those
+    /// endpoints closed.
     pub shard: Option<ShardBounds>,
-    /// Expose `POST /admin/epoch/{prepare,commit,abort}` — the shard
-    /// side of the two-phase publish barrier. Off by default: prepare
-    /// loads a snapshot from a caller-named local directory, which only
-    /// a deployment that runs the barrier should expose.
-    pub enable_epoch_admin: bool,
 }
+
+/// Default idle keep-alive read timeout; the router's fixed one.
+pub const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Default total request deadline; the router's fixed one.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+/// Default `Retry-After` seconds on a 503; the router's fixed value.
+pub const RETRY_AFTER_SECS: u32 = 1;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -94,14 +100,13 @@ impl Default for ServeConfig {
             queue_capacity: 1024,
             batch_max_size: 16,
             batch_max_wait: Duration::from_micros(500),
-            retry_after_secs: 1,
-            keep_alive_timeout: Duration::from_secs(5),
-            request_deadline: Duration::from_secs(10),
+            retry_after_secs: RETRY_AFTER_SECS,
+            keep_alive_timeout: KEEP_ALIVE_TIMEOUT,
+            request_deadline: REQUEST_DEADLINE,
             enable_shutdown_endpoint: false,
             cache_capacity_bytes: 0,
             cache_shards: 16,
             shard: None,
-            enable_epoch_admin: false,
         }
     }
 }
@@ -117,7 +122,6 @@ impl ServeConfig {
     /// owned flags rendered, epoch barrier admin endpoints enabled.
     pub fn as_shard(mut self, bounds: ShardBounds) -> Self {
         self.shard = Some(bounds);
-        self.enable_epoch_admin = true;
         self
     }
 }
@@ -130,8 +134,8 @@ struct Inner {
     /// with rendered bodies.
     cache: Option<Arc<ResultCache>>,
     config: ServeConfig,
-    /// Two-phase publish staging (`/admin/epoch/*`); idle unless
-    /// `enable_epoch_admin` routes to it.
+    /// Two-phase publish staging (`/admin/epoch/*`); idle unless the
+    /// server is a shard.
     barrier: EpochBarrier,
     conns: Mutex<VecDeque<TcpStream>>,
     conns_nonempty: Condvar,
@@ -526,13 +530,13 @@ fn dispatch(inner: &Inner, req: &Request) -> (Endpoint, Response) {
         // drops a staging. A driver brings every shard through prepare
         // before any commit, so the mixed-epoch window collapses to the
         // commit fan-out (which the router retries across).
-        ("POST", "/admin/epoch/prepare") if inner.config.enable_epoch_admin => {
+        ("POST", "/admin/epoch/prepare") if inner.config.shard.is_some() => {
             (Endpoint::Other, handle_epoch_prepare(inner, &req.body))
         }
-        ("POST", "/admin/epoch/commit") if inner.config.enable_epoch_admin => {
+        ("POST", "/admin/epoch/commit") if inner.config.shard.is_some() => {
             (Endpoint::Other, handle_epoch_commit(inner, &req.body))
         }
-        ("POST", "/admin/epoch/abort") if inner.config.enable_epoch_admin => {
+        ("POST", "/admin/epoch/abort") if inner.config.shard.is_some() => {
             let aborted = inner.barrier.abort();
             let resp = Response::json(
                 200,

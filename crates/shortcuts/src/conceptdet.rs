@@ -8,21 +8,9 @@
 
 use ctxrank_querylog::UnitDictionary;
 
-/// A concept detection in a token stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConceptMatch {
-    /// Token index where the concept starts.
-    pub token_start: usize,
-    /// Number of tokens covered.
-    pub token_len: usize,
-    /// The concept surface (space-joined terms).
-    pub surface: String,
-    /// The unit score of the matched concept.
-    pub unit_score: f64,
-}
-
-/// An allocation-free concept detection: the matched unit is referenced
-/// by its dictionary index instead of a joined surface string.
+/// A concept detection in a token stream. The matched unit is referenced
+/// by its dictionary index; [`UnitDictionary::surface`] resolves it to
+/// its space-joined terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConceptIdMatch {
     /// Token index where the concept starts.
@@ -68,21 +56,9 @@ impl<'a> ConceptDetector<'a> {
     /// then probes all window lengths at each position with a single
     /// incremental trie descent — no per-window string joins or hashes.
     /// A token unknown to the dictionary cuts every phrase through it.
-    pub fn detect(&self, tokens: &[String]) -> Vec<ConceptMatch> {
-        self.detect_ids(tokens)
-            .into_iter()
-            .map(|m| ConceptMatch {
-                token_start: m.token_start,
-                token_len: m.token_len,
-                surface: tokens[m.token_start..m.token_start + m.token_len].join(" "),
-                unit_score: m.unit_score,
-            })
-            .collect()
-    }
-
-    /// [`Self::detect`] without surface materialization: matches carry
-    /// the unit's dictionary index, so scoring loops can accumulate into
-    /// dense per-unit arrays with zero allocation per match.
+    /// Matches carry the unit's dictionary index, so scoring loops can
+    /// accumulate into dense per-unit arrays with zero allocation per
+    /// match.
     pub fn detect_ids(&self, tokens: &[String]) -> Vec<ConceptIdMatch> {
         let ids = self.units.interner().map_tokens(tokens);
         let stop: Vec<bool> = tokens
@@ -145,6 +121,14 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    /// `(match, surface)` pairs for `text`.
+    fn detect<'u>(det: &ConceptDetector<'u>, text: &str) -> Vec<(ConceptIdMatch, &'u str)> {
+        det.detect_ids(&t(text))
+            .into_iter()
+            .map(|m| (m, det.units.surface(m.unit)))
+            .collect()
+    }
+
     fn units() -> UnitDictionary {
         let mut log = QueryLog::new();
         log.add("global warming", 80);
@@ -161,9 +145,11 @@ mod tests {
     fn detects_multiterm_concept() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("scientists say global warming accelerates"));
+        let found = detect(&det, "scientists say global warming accelerates");
         assert!(
-            found.iter().any(|m| m.surface == "global warming"),
+            found
+                .iter()
+                .any(|(_, surface)| *surface == "global warming"),
             "{found:?}"
         );
     }
@@ -172,10 +158,10 @@ mod tests {
     fn longest_match_preferred() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("find cheap auto insurance online"));
-        let best = found
+        let found = detect(&det, "find cheap auto insurance online");
+        let (best, _) = found
             .iter()
-            .find(|m| m.surface.contains("auto insurance"))
+            .find(|(_, surface)| surface.contains("auto insurance"))
             .expect("insurance concept");
         // "cheap auto insurance" should win over "auto insurance" if it
         // was extracted as a 3-term unit; either way it covers >= 2 terms.
@@ -186,7 +172,7 @@ mod tests {
     fn no_overlap() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("global warming global warming"));
+        let found = det.detect_ids(&t("global warming global warming"));
         for pair in found.windows(2) {
             assert!(pair[0].token_start + pair[0].token_len <= pair[1].token_start);
         }
@@ -196,10 +182,9 @@ mod tests {
     fn stopwords_never_start_concepts() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        let found = det.detect(&t("the and of global warming"));
-        for m in &found {
+        for (_, surface) in detect(&det, "the and of global warming") {
             assert!(!ctxrank_text::is_stopword(
-                m.surface.split(' ').next().expect("term")
+                surface.split(' ').next().expect("term")
             ));
         }
     }
@@ -209,7 +194,7 @@ mod tests {
         let u = units();
         let mut det = ConceptDetector::new(&u);
         det.min_score = 2.0; // impossible
-        assert!(det.detect(&t("global warming effects")).is_empty());
+        assert!(det.detect_ids(&t("global warming effects")).is_empty());
     }
 
     #[test]
@@ -217,7 +202,7 @@ mod tests {
         let u = units();
         let mut det = ConceptDetector::new(&u);
         det.allow_single = false;
-        let found = det.detect(&t("insurance quotes today"));
+        let found = det.detect_ids(&t("insurance quotes today"));
         assert!(found.iter().all(|m| m.token_len >= 2));
     }
 
@@ -225,6 +210,6 @@ mod tests {
     fn empty_tokens() {
         let u = units();
         let det = ConceptDetector::new(&u);
-        assert!(det.detect(&[]).is_empty());
+        assert!(det.detect_ids(&[]).is_empty());
     }
 }

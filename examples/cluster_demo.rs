@@ -123,7 +123,6 @@ fn main() {
         RouterServerConfig {
             addr: addr_env("CTXRANK_ROUTER_ADDR", "127.0.0.1:7979"),
             enable_shutdown_endpoint: true,
-            ..RouterServerConfig::default()
         },
     )
     .expect("start router");
